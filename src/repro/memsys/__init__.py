@@ -29,6 +29,7 @@ from repro.memsys.block import (
     Ref,
     decode_ref,
     encode_ref,
+    encode_refs,
     is_data_kind,
     is_write_kind,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "Ref",
     "decode_ref",
     "encode_ref",
+    "encode_refs",
     "is_data_kind",
     "is_write_kind",
     "CacheStats",

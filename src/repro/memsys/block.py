@@ -1,9 +1,15 @@
 """Memory-reference encoding shared by workload generators and simulators.
 
-A reference is a single Python int: ``(byte_address << 2) | kind``.
-Packing into ints (rather than tuples or dataclasses) matters: traces
-run to millions of references and the cache simulators are pure Python,
-so every object allocation per reference would dominate runtime.
+A reference is a single integer: ``(byte_address << 2) | kind``.
+Packing into integers (rather than tuples or dataclasses) matters:
+traces run to millions of references, held as ``uint64`` arrays for the
+vectorized and compiled replay paths and walked as Python ints by the
+scalar reference simulators, so any per-reference object would
+dominate runtime.  Generators build their bulk traffic (fetch bursts,
+stack locals, pre-warm sweeps) with :func:`encode_refs`, which encodes
+a whole array at once and validates once per array; the scalar
+:func:`encode_ref` serves the one-at-a-time emitters and checks every
+call.
 
 Workloads emit instruction fetches at 32-byte granularity (one fetch
 per half of a 64-byte line) and data references at their natural byte
@@ -14,6 +20,8 @@ lets one generated trace be replayed against any block size >= 32 B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Reference kinds (2-bit field).
 IFETCH = 0
@@ -36,6 +44,21 @@ def encode_ref(addr: int, kind: int) -> int:
     if addr < 0:
         raise ValueError(f"negative address {addr:#x}")
     return (addr << 2) | kind
+
+
+def encode_refs(base: int, offsets: np.ndarray, kind: int) -> np.ndarray:
+    """Encode ``base + offsets`` of one kind as a ``uint64`` array.
+
+    The array form of :func:`encode_ref`: ``kind`` and ``base`` are
+    validated once, by encoding ``base`` itself, and the offsets are
+    added to the encoded base shifted into place (the kind bits sit
+    below the address, so ``encode_ref(base + off, kind) ==
+    encode_ref(base, kind) + (off << 2)``).  ``offsets`` must be
+    non-negative integers; callers build them by construction (bounded
+    draws, ``arange``, modular line indices).
+    """
+    first = encode_ref(base, kind)
+    return (np.asarray(offsets, dtype=np.uint64) << 2) + first
 
 
 def decode_ref(ref: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """The ``jmmw bench`` suite: a performance trajectory for the pipeline.
 
-Times a declared set of representative stages — the vectorized replay
-kernels, the scalar reference replays, figure 12/13/16 end-to-end, and
-the harness with a cold and a warm result cache — over N repetitions,
-reports median and interquartile range, and writes a machine-readable
-``BENCH_<timestamp>.json`` snapshot at the repo root.  Each run
+Times a declared set of representative stages — trace generation, the
+vectorized replay kernels, the scalar reference replays, figure
+12/13/16 end-to-end, and the harness with a cold and a warm result
+cache — over N repetitions, reports median and interquartile range,
+and writes a machine-readable ``BENCH_<timestamp>.json`` snapshot at
+the repo root.  Each run
 compares itself against the most recent prior snapshot and **fails**
 (exit code 3 from the CLI) when any stage's median regresses past a
 configurable threshold, so a PR that slows the pipeline down breaks
@@ -100,6 +101,24 @@ def _bench_trace(sim: SimConfig):
     workload = make_workload("specjbb", scale=8)
     bundle = workload.generate(1, sim, RngFactory(seed=sim.seed))
     return bundle.per_cpu[0]
+
+
+def _stage_trace_gen(sim: SimConfig) -> Callable[[], None]:
+    """SPECjbb and ECperf at 8 processors, generated from scratch.
+
+    The generator is most of a ``jmmw figures`` run; this is the only
+    stage whose timed region is trace generation alone.
+    """
+    from repro.figures.common import workload_for_procs
+    from repro.rng import RngFactory
+
+    workloads = [workload_for_procs(name, 8) for name in ("specjbb", "ecperf")]
+
+    def run() -> None:
+        for workload in workloads:
+            workload.generate(8, sim, RngFactory(seed=sim.seed))
+
+    return run
 
 
 def _stage_lru_kernel(sim: SimConfig) -> Callable[[], None]:
@@ -393,6 +412,7 @@ def _stage_loadplane(sim: SimConfig) -> Callable[[], None]:
 
 #: The declared suite: (stage name, factory(sim) -> timed callable).
 SUITE: list[tuple[str, Callable[[SimConfig], Callable[[], None]]]] = [
+    ("workloads/trace_gen", _stage_trace_gen),
     ("fastpath/lru_miss_mask", _stage_lru_kernel),
     ("fastpath/stack_distances", _stage_stackdist_kernel),
     ("scalar/miss_curve", _stage_scalar_sweep),

@@ -6,7 +6,11 @@ instruction counts and metadata.  The :class:`StreamBuilder` is the
 small emission API the concrete workloads compose — fetch bursts,
 loads/stores, lock round-trips, tree descents, allocation runs —
 keeping every workload's generator readable while the emitted streams
-stay flat lists of ints for the simulators.
+stay flat sequences of encoded ints for the simulators.  The bulk of
+every trace (fetch bursts and their stack-local traffic, about nine
+references in ten) is built as numpy arrays, one per burst; pre-warm
+preambles are declared as :class:`Sweep` lists, sized before anything
+is built, and built only when they fit the warmup window.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import SimConfig
 from repro.errors import WorkloadError
 from repro.jvm.heap import AllocationCursor
 from repro.jvm.objects import ObjectTree
-from repro.memsys.block import LOAD, STORE, encode_ref
+from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref, encode_refs
 from repro.rng import RngFactory
 from repro.workloads.codepath import CodeLayout
 
@@ -124,7 +129,13 @@ def emit_chunked_refs(
 
 
 class StreamBuilder:
-    """Accumulates one processor's reference stream."""
+    """Accumulates one processor's reference stream.
+
+    ``refs`` is a list of encoded Python ints.  Single references
+    (loads, stores, lock round trips, tree descents) are appended one
+    at a time; a :meth:`code_burst` — the bulk of every trace — is
+    built as one array and extended in one call.
+    """
 
     #: Per-instruction frequency of loads and stores accompanying
     #: straight-line code (locals, spilled registers, field reads the
@@ -156,23 +167,26 @@ class StreamBuilder:
         like real locals — so per-1000-instruction miss rates are
         denominated against a realistic reference mix.
         """
-        refs, n_instr, self._code_prev = layout.burst(
+        fetches, n_instr, self._code_prev = layout.burst(
             self.rng, mean_burst_instr, prev=self._code_prev
         )
-        self.refs.extend(refs)
         self.instructions += n_instr
-        rng = self.rng
         n_loads = int(n_instr * self.LOADS_PER_INSTR)
         n_stores = int(n_instr * self.STORES_PER_INSTR)
-        # Locals cycle within a ~2 KB window of live frames.
+        # Locals cycle within a ~2 KB window of live frames: one
+        # bounded draw per load, then per store, taken as one batch
+        # (numpy yields the same values as one scalar draw at a time).
         window = self.stack_base + (self._frame_cursor % 4) * 512
         self._frame_cursor += 1
-        for _ in range(n_loads):
-            offset = int(rng.integers(0, 64)) * 8
-            self.refs.append(encode_ref(window + offset, LOAD))
-        for _ in range(n_stores):
-            offset = int(rng.integers(0, 64)) * 8
-            self.refs.append(encode_ref(window + offset, STORE))
+        offsets = self.rng.integers(0, 64, size=n_loads + n_stores) * 8
+        burst = np.concatenate(
+            (
+                fetches,
+                encode_refs(window, offsets[:n_loads], LOAD),
+                encode_refs(window, offsets[n_loads:], STORE),
+            )
+        )
+        self.refs.extend(burst.tolist())
 
     def code_bursts(
         self, layout: CodeLayout, n: int, mean_burst_instr: int = 100
@@ -262,7 +276,30 @@ class StreamBuilder:
             self.refs.append(encode_ref(base, LOAD))
 
 
-def code_sweep_refs(layout: CodeLayout) -> list[int]:
+@dataclass(frozen=True)
+class Sweep:
+    """One strided pass over an address range: a pre-warm preamble piece.
+
+    Its length is known without building it, so a preamble that will
+    be dropped (see :func:`seed_preamble`) costs nothing.
+    """
+
+    base: int
+    nbytes: int
+    stride: int = 64
+    kind: int = LOAD
+
+    def __len__(self) -> int:
+        return len(range(0, self.nbytes, self.stride))
+
+    def refs(self) -> np.ndarray:
+        """The encoded references, one per ``stride`` bytes."""
+        return encode_refs(
+            self.base, np.arange(0, self.nbytes, self.stride, dtype=np.uint64), self.kind
+        )
+
+
+def code_sweeps(layout: CodeLayout) -> list[Sweep]:
     """Fetch every line of every code region once (pre-warm preamble).
 
     The paper measures steady-state intervals of long-running
@@ -272,18 +309,40 @@ def code_sweep_refs(layout: CodeLayout) -> list[int]:
     measured rates never charge first-touch misses on code that would
     be warm in any real run.
     """
-    from repro.memsys.block import IFETCH
-
-    refs: list[int] = []
-    for segment in layout.segments:
-        for offset in range(0, segment.code_bytes, 32):
-            refs.append(encode_ref(segment.base + offset, IFETCH))
-    return refs
+    return [
+        Sweep(segment.base, segment.code_bytes, stride=32, kind=IFETCH)
+        for segment in layout.segments
+    ]
 
 
-def region_sweep_refs(base: int, nbytes: int, stride: int = 64) -> list[int]:
+def code_sweep_refs(layout: CodeLayout) -> np.ndarray:
+    """The encoded :func:`code_sweeps` preamble, as one array."""
+    return np.concatenate([sweep.refs() for sweep in code_sweeps(layout)])
+
+
+def region_sweep_refs(base: int, nbytes: int, stride: int = 64) -> np.ndarray:
     """Read every line of a data region once (pre-warm preamble)."""
-    return [encode_ref(base + off, LOAD) for off in range(0, nbytes, stride)]
+    return Sweep(base, nbytes, stride).refs()
+
+
+def seed_preamble(builder: StreamBuilder, sweeps: list[Sweep], sim: SimConfig) -> None:
+    """Prepend a pre-warm preamble to ``builder`` when it fits warmup.
+
+    A preamble longer than 80% of the warmup window would leak into
+    the measured interval, so it is dropped whole.  Its length is
+    summed from the sweeps before anything is built, and the
+    ``workloads/prewarm/kept`` / ``dropped`` counters record which
+    happened (a dropped preamble means the measured interval starts
+    from cold caches).
+    """
+    if sum(len(sweep) for sweep in sweeps) <= (
+        0.8 * sim.warmup_fraction * sim.refs_per_proc
+    ):
+        obs.incr("workloads/prewarm/kept")
+        for sweep in sweeps:
+            builder.refs.extend(sweep.refs().tolist())
+    else:
+        obs.incr("workloads/prewarm/dropped")
 
 
 @runtime_checkable
@@ -332,8 +391,6 @@ def os_background_trace(
     """
     if n_refs < 0:
         raise WorkloadError("n_refs must be non-negative")
-    from repro.memsys.block import IFETCH  # local to keep module header lean
-
     refs: list[int] = []
     shared = shared_lines or []
     while len(refs) < n_refs:

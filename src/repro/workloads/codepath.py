@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.appserver.container import CodeRegionSpec
 from repro.errors import ConfigError
-from repro.memsys.block import IFETCH, IFETCH_BYTES, encode_ref
+from repro.memsys.block import (
+    IFETCH,
+    IFETCH_BYTES,
+    INSTRUCTIONS_PER_IFETCH,
+    encode_refs,
+)
 
 #: Base of the text segment in the simulated address space.
 CODE_REGION_BASE = 0x1000_0000
@@ -34,28 +39,32 @@ class CodeSegment:
         self.base = base
         self.instructions = instructions
         self.code_bytes = instructions * 4
+        #: Fetch lines in one pass; the last is partial when
+        #: ``code_bytes`` is not a multiple of :data:`IFETCH_BYTES`.
+        self.lines = -(-self.code_bytes // IFETCH_BYTES)
 
-    def fetch_refs(self, start_instr: int, n_instr: int) -> list[int]:
-        """Encoded fetch refs for ``n_instr`` sequential instructions.
+    def fetch_refs(
+        self, start_instr: int, n_instr: int, window_lines: int | None = None
+    ) -> np.ndarray:
+        """Encoded fetch refs (``uint64``) for ``n_instr`` instructions.
 
         Fetches are emitted one per :data:`IFETCH_BYTES` (32 B) of
-        straight-line code; the run wraps within the segment, modeling
-        loops.
+        straight-line code from the line holding ``start_instr``; the
+        run wraps to the segment's first line past its end, modeling
+        loops.  With ``window_lines`` the run instead iterates over
+        that many lines (a loop body) until the instructions retire,
+        the final iteration stopping early.  Built as one array: the
+        ``k``-th fetch reads line ``(first + k % window_lines) %
+        lines``.
         """
-        if n_instr <= 0:
-            return []
-        start_byte = (start_instr * 4) % self.code_bytes
-        start_byte -= start_byte % IFETCH_BYTES
-        refs = []
-        offset = start_byte
-        remaining_bytes = n_instr * 4
-        while remaining_bytes > 0:
-            refs.append(encode_ref(self.base + offset, IFETCH))
-            offset += IFETCH_BYTES
-            if offset >= self.code_bytes:
-                offset = 0
-            remaining_bytes -= IFETCH_BYTES
-        return refs
+        n_fetches = max(0, -(-n_instr // INSTRUCTIONS_PER_IFETCH))
+        steps = np.arange(n_fetches, dtype=np.uint64)
+        if window_lines is not None:
+            steps %= window_lines
+        first = (start_instr * 4) % self.code_bytes // IFETCH_BYTES
+        return encode_refs(
+            self.base, (steps + first) % self.lines * IFETCH_BYTES, IFETCH
+        )
 
 
 class CodeLayout:
@@ -108,7 +117,7 @@ class CodeLayout:
         prev: tuple[CodeSegment, int] | None = None,
         locality: float | None = None,
         offset_skew: float | None = None,
-    ) -> tuple[list[int], int, tuple[CodeSegment, int]]:
+    ) -> tuple[np.ndarray, int, tuple[CodeSegment, int]]:
         """One fetch burst: ``(refs, instruction_count, continuation)``.
 
         Three locality mechanisms shape the stream the way real
@@ -145,20 +154,7 @@ class CodeLayout:
         n_instr = max(16, int(rng.exponential(mean_burst_instr)))
         # Loop window: 2-8 fetch lines revisited until the burst retires.
         window_lines = int(rng.integers(2, 9))
-        window_instr = window_lines * (IFETCH_BYTES // 4)
-        refs: list[int] = []
-        start_byte = (start * 4) % segment.code_bytes
-        start_byte -= start_byte % IFETCH_BYTES
-        remaining = n_instr
-        while remaining > 0:
-            span = min(remaining, window_instr)
-            offset = start_byte
-            for _ in range((span + IFETCH_BYTES // 4 - 1) // (IFETCH_BYTES // 4)):
-                refs.append(encode_ref(segment.base + offset, IFETCH))
-                offset += IFETCH_BYTES
-                if offset >= segment.code_bytes:
-                    offset = 0
-            remaining -= span
+        refs = segment.fetch_refs(start, n_instr, window_lines)
         end_pos = (start + n_instr) % segment.instructions
         return refs, n_instr, (segment, end_pos)
 

@@ -42,9 +42,10 @@ from repro.workloads.base import (
     ChunkedTrace,
     StreamBuilder,
     TraceBundle,
-    code_sweep_refs,
+    Sweep,
+    code_sweeps,
     emit_chunked_refs,
-    region_sweep_refs,
+    seed_preamble,
 )
 from repro.workloads.codepath import CodeLayout, jvm_runtime_regions
 from repro.workloads.database import DatabaseTier
@@ -121,9 +122,7 @@ class EcperfWorkload:
             rng = rng_factory.stream(f"ecperf.cpu{cpu}")
             builder = StreamBuilder(rng)
             cpu_threads = [t for t in threads if t.cpu == cpu]
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            seed_preamble(builder, self._prewarm_sweeps(cpu_threads), sim)
             turn = 0
             while len(builder.refs) < sim.refs_per_proc:
                 thread = cpu_threads[turn % len(cpu_threads)]
@@ -172,9 +171,7 @@ class EcperfWorkload:
             rng = rng_factory.stream(f"ecperf.cpu{cpu}")
             builder = StreamBuilder(rng)
             cpu_threads = [t for t in threads if t.cpu == cpu]
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            seed_preamble(builder, self._prewarm_sweeps(cpu_threads), sim)
             per_cpu.append(
                 emit_chunked_refs(
                     builder,
@@ -200,27 +197,22 @@ class EcperfWorkload:
 
         return emit
 
-    def _prewarm_refs(self, cpu_threads) -> list[int]:
+    def _prewarm_sweeps(self, cpu_threads) -> list[Sweep]:
         """Pre-warm preamble: hot code, bean-cache warm core, buffers.
 
         Consumed inside the warmup window; see
-        :func:`repro.workloads.base.code_sweep_refs`.
+        :func:`repro.workloads.base.code_sweeps`.
         """
-        refs = code_sweep_refs(self.code)
+        sweeps = code_sweeps(self.code)
         warm_core = (
             int(0.015 * self.bean_cache.capacity_beans) * self.bean_cache.bean_size
         )
-        refs.extend(region_sweep_refs(self.bean_cache.base_addr, warm_core))
+        sweeps.append(Sweep(self.bean_cache.base_addr, warm_core))
         for thread in cpu_threads:
-            refs.extend(
-                region_sweep_refs(
-                    layout.SESSION_BASE + thread.tid * layout.SESSION_STRIDE, 4096
-                )
-            )
-            refs.extend(
-                region_sweep_refs(self.database.marshal_buffer_addr(thread.tid), 8192)
-            )
-        return refs
+            session = layout.SESSION_BASE + thread.tid * layout.SESSION_STRIDE
+            sweeps.append(Sweep(session, 4096))
+            sweeps.append(Sweep(self.database.marshal_buffer_addr(thread.tid), 8192))
+        return sweeps
 
     def _bbop(
         self, b: StreamBuilder, thread, txn: EcperfTxnType, n_threads: int

@@ -34,9 +34,10 @@ from repro.workloads.base import (
     ChunkedTrace,
     StreamBuilder,
     TraceBundle,
-    code_sweep_refs,
+    Sweep,
+    code_sweeps,
     emit_chunked_refs,
-    region_sweep_refs,
+    seed_preamble,
 )
 from repro.workloads.codepath import CodeLayout, jvm_runtime_regions
 from repro.workloads.database import EmulatedDatabase
@@ -123,9 +124,7 @@ class SpecJbbWorkload:
                 per_cpu.append([])
                 instructions.append(0)
                 continue
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            seed_preamble(builder, self._prewarm_sweeps(cpu_threads), sim)
             turn = 0
             while len(builder.refs) < sim.refs_per_proc:
                 thread = cpu_threads[turn % len(cpu_threads)]
@@ -174,9 +173,7 @@ class SpecJbbWorkload:
                 lengths.append(0)
                 per_cpu.append(iter(()))
                 continue
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            seed_preamble(builder, self._prewarm_sweeps(cpu_threads), sim)
             per_cpu.append(
                 emit_chunked_refs(
                     builder,
@@ -202,15 +199,15 @@ class SpecJbbWorkload:
 
         return emit
 
-    def _prewarm_refs(self, cpu_threads) -> list[int]:
+    def _prewarm_sweeps(self, cpu_threads) -> list[Sweep]:
         """Pre-warm preamble: hot code + this processor's hot data.
 
         Consumed inside the warmup window (see
-        :func:`repro.workloads.base.code_sweep_refs`): the steady
+        :func:`repro.workloads.base.code_sweeps`): the steady
         state the paper measures has the hot code and each thread's
         hot tree regions long resident.
         """
-        refs = code_sweep_refs(self.code)
+        sweeps = code_sweeps(self.code)
         for thread in cpu_threads:
             wh = thread.tid % self.warehouses
             data = self.db.warehouse(wh)
@@ -219,19 +216,17 @@ class SpecJbbWorkload:
                 for level in range(min(2, tree.depth - 1)):
                     start = tree.base + tree.level_offset(level)
                     nbytes = (tree.fanout**level) * tree.node_size
-                    refs.extend(region_sweep_refs(start, nbytes))
+                    sweeps.append(Sweep(start, nbytes))
                 # Hot slice of the leaf level.
                 leaves_start = tree.base + tree.level_offset(tree.depth - 1)
                 hot_bytes = int(0.006 * tree.n_leaves) * tree.node_size
-                refs.extend(region_sweep_refs(leaves_start, hot_bytes))
+                sweeps.append(Sweep(leaves_start, hot_bytes))
         # Shared item tree: interiors plus the hot leaf slice.
         item = self.db.item_tree
-        refs.extend(region_sweep_refs(item.base, item.level_offset(item.depth - 1)))
+        sweeps.append(Sweep(item.base, item.level_offset(item.depth - 1)))
         leaves_start = item.base + item.level_offset(item.depth - 1)
-        refs.extend(
-            region_sweep_refs(leaves_start, item.n_leaves * item.node_size)
-        )
-        return refs
+        sweeps.append(Sweep(leaves_start, item.n_leaves * item.node_size))
+        return sweeps
 
     def _transaction(self, b: StreamBuilder, thread, txn: JbbTxnType) -> None:
         """Emit one SPECjbb operation for ``thread``."""

@@ -28,7 +28,12 @@ from repro.jvm.threads import ThreadRegistry
 from repro.osmodel.netstack import KernelNetworkModel
 from repro.rng import RngFactory
 from repro.workloads import layout
-from repro.workloads.base import StreamBuilder, TraceBundle, code_sweep_refs
+from repro.workloads.base import (
+    StreamBuilder,
+    TraceBundle,
+    code_sweeps,
+    seed_preamble,
+)
 from repro.workloads.codepath import CodeLayout, jvm_runtime_regions
 
 #: Chat rooms' message boards live with the other shared structures.
@@ -101,9 +106,7 @@ class VolanoMarkWorkload:
         for cpu in range(n_procs):
             rng = rng_factory.stream(f"volano.cpu{cpu}")
             builder = StreamBuilder(rng)
-            prewarm = code_sweep_refs(self.code)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            seed_preamble(builder, code_sweeps(self.code), sim)
             cpu_threads = [t for t in threads if t.cpu == cpu]
             turn = 0
             while len(builder.refs) < sim.refs_per_proc:
