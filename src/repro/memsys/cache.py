@@ -7,6 +7,15 @@ state value: Python dicts preserve insertion order, so LRU is a delete
 + reinsert, which profiles faster than any list-based scheme at the
 trace volumes we replay.
 
+The set dicts are built on first read, not in ``__init__``: a machine
+of many large caches costs nothing until a scalar access reaches one.
+After a compiled-kernel replay (:mod:`repro.memsys.fastpath_coherence`)
+a cache holds its lines as the kernel exported them — per-set counts
+plus LRU-ordered block and state arrays, given to :meth:`load_lines`
+— and builds the dicts from those arrays only if something reads
+them.  The figures read counters only, so most replayed caches are
+never built.
+
 Two interfaces are exposed:
 
 - ``access(block, write)`` — self-contained hit/miss accounting for
@@ -18,10 +27,14 @@ Two interfaces are exposed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Hashable, Iterator, Sequence
+
+import numpy as np
 
 from repro.memsys.config import CacheConfig
+from repro.memsys.lazy import built_on_first_read
 
 
 @dataclass
@@ -52,6 +65,9 @@ class CacheStats:
 CLEAN = 0
 DIRTY = 1
 
+#: ``SetAssociativeCache._lines`` of a cache that holds nothing.
+_NO_LINES = (None, np.empty(0, dtype=np.uint64), None, (CLEAN,))
+
 
 class SetAssociativeCache:
     """One physical cache array.
@@ -70,7 +86,43 @@ class SetAssociativeCache:
         self._set_mask = config.set_mask
         self._n_sets = config.n_sets
         self._assoc = config.assoc
-        self._sets: list[dict[int, Hashable]] = [{} for _ in range(config.n_sets)]
+        # The lines ``_sets`` will be built from; None once it is built.
+        self._lines: tuple | None = _NO_LINES
+
+    @built_on_first_read
+    def _sets(self) -> list[dict[int, Hashable]]:
+        """One dict per set, block -> state in LRU order (LRU first)."""
+        set_counts, blocks, codes, state_of = self._lines
+        self._lines = None
+        sets: list[dict[int, Hashable]] = [{} for _ in range(self._n_sets)]
+        if blocks.size:
+            states = (
+                repeat(state_of[0]) if codes is None
+                else map(state_of.__getitem__, codes.tolist())
+            )
+            pairs = zip(blocks.tolist(), states)
+            for si, count in enumerate(set_counts.tolist()):
+                if count:
+                    sets[si] = dict(islice(pairs, count))
+        return sets
+
+    def load_lines(
+        self,
+        set_counts: np.ndarray,
+        blocks: np.ndarray,
+        codes: np.ndarray | None = None,
+        state_of: Sequence[Hashable] = (CLEAN,),
+    ) -> None:
+        """Replace the contents with exported lines, built on first read.
+
+        Set ``s`` holds the next ``set_counts[s]`` entries of
+        ``blocks``, LRU first; line ``i``'s state is
+        ``state_of[codes[i]]`` (``state_of[0]`` for every line when
+        ``codes`` is None).
+        """
+        if self._lines is None:
+            del self._sets
+        self._lines = (set_counts, blocks, codes, state_of)
 
     # -- access-mode interface (uniprocessor / L1 filtering) ------------
 
@@ -145,8 +197,10 @@ class SetAssociativeCache:
             yield from line_set
 
     def occupancy(self) -> int:
-        """Number of resident lines."""
-        return sum(len(s) for s in self._sets)
+        """Number of resident lines (builds no sets)."""
+        if self._lines is not None:
+            return int(self._lines[1].size)
+        return sum(map(len, self._sets))
 
     def contains(self, block: int) -> bool:
         return block in self._sets[block & self._set_mask]
@@ -157,6 +211,9 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Drop all contents (stats are retained)."""
+        if self._lines is not None:
+            self._lines = _NO_LINES
+            return
         for line_set in self._sets:
             line_set.clear()
 

@@ -30,8 +30,11 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import ConfigError, SimulationError
 from repro.memsys.cache import SetAssociativeCache
+from repro.memsys.lazy import built_on_first_read
 from repro.memsys.misses import MissClassifier, MissKind
 
 
@@ -135,10 +138,38 @@ class MOSIBus:
         self.cache_stats = [CacheSideStats() for _ in caches]
         self.classifiers = [MissClassifier() for _ in caches]
         self._holders: dict[int, set[int]] = {}
+        self._holder_masks: tuple | None = None  # set while unbuilt
         self._mosi = protocol == "mosi"
         self._mesi = protocol == "mesi"
         self._track = track_lines
         self._on_invalidate = on_invalidate
+
+    def load_holders(self, blocks: np.ndarray, masks: np.ndarray) -> None:
+        """Replace the holders mirror, built on first read: bit ``c``
+        of ``masks[i]`` set means cache ``c`` holds ``blocks[i]``."""
+        if self._holder_masks is None:
+            del self._holders
+        self._holder_masks = (blocks, masks)
+
+    @built_on_first_read
+    def _holders(self) -> dict[int, set[int]]:
+        """block -> ids of the caches holding it (from ``load_holders``)."""
+        blocks, masks = self._holder_masks
+        self._holder_masks = None
+        # Few distinct holder masks occur in practice; memoize the bit
+        # decomposition instead of scanning all cache ids per block.
+        n_caches = len(self.caches)
+        cids_of: dict[int, tuple[int, ...]] = {}
+        holders = {}
+        for block, mask in zip(blocks.tolist(), masks.tolist()):
+            if not mask:
+                continue
+            cids = cids_of.get(mask)
+            if cids is None:
+                cids = tuple(c for c in range(n_caches) if mask >> c & 1)
+                cids_of[mask] = cids
+            holders[block] = set(cids)
+        return holders
 
     # -- public operations ----------------------------------------------
 

@@ -144,7 +144,7 @@ def block_stream(trace, kind: str, block_bits: int = 6) -> np.ndarray:
 # -- shared helpers -------------------------------------------------------
 
 
-def _previous_occurrence(values: np.ndarray) -> np.ndarray:
+def previous_occurrence(values: np.ndarray) -> np.ndarray:
     """Index of the previous equal element, or -1 (vectorized).
 
     ``out[i] = max{j < i : values[j] == values[i]}`` — the reuse
@@ -159,6 +159,23 @@ def _previous_occurrence(values: np.ndarray) -> np.ndarray:
     same = sorted_vals[1:] == sorted_vals[:-1]
     out[order[1:][same]] = order[:-1][same]
     return out
+
+
+def collapse_repeats(blocks: np.ndarray, split: int = 0) -> tuple[np.ndarray, int]:
+    """Drop accesses that repeat the block just before them.
+
+    Such accesses are guaranteed hits at any associativity and
+    invisible to every other access's distinct-block window, so LRU
+    miss flags of the kept accesses are unchanged.  Returns the kept
+    blocks and how many of them lie before index ``split``.
+    """
+    if blocks.size == 0:
+        return blocks, 0
+    keep = np.empty(blocks.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=keep[1:])
+    kept_before = int(np.count_nonzero(keep[:split]))
+    return blocks[keep], kept_before
 
 
 # -- kernel 1: exact set-associative LRU ---------------------------------
@@ -227,7 +244,7 @@ def lru_miss_mask(
     if n == 0:
         return np.zeros(0, dtype=bool)
     if prev is None:
-        prev = _previous_occurrence(blocks)
+        prev = previous_occurrence(blocks)
     cold = prev < 0
     if assoc <= 0:
         raise ConfigError(f"assoc must be positive, got {assoc}")
@@ -336,20 +353,8 @@ def replay_counters(
     out: list[ReplayCounters | None] = [None] * len(configs)
     for block_bits, indices in by_block_bits.items():
         blocks = classified.addrs >> np.uint64(block_bits)
-        # Collapse consecutive same-block accesses: guaranteed hits at
-        # any associativity, and invisible to every other access's
-        # distinct-block window.
-        keep = np.empty(n_class, dtype=bool)
-        if n_class:
-            keep[0] = True
-            keep[1:] = blocks[1:] != blocks[:-1]
-            kept = blocks[keep]
-            kept_pos = np.flatnonzero(keep)
-            kept_before_split = int(np.searchsorted(kept_pos, split_class, side="left"))
-        else:
-            kept = blocks
-            kept_before_split = 0
-        prev = _previous_occurrence(kept)
+        kept, kept_before_split = collapse_repeats(blocks, split_class)
+        prev = previous_occurrence(kept)
         for i in indices:
             cfg = configs[i]
             miss = lru_miss_mask(kept, cfg.set_mask, cfg.assoc, prev=prev)
@@ -465,7 +470,7 @@ def stack_distances(blocks) -> np.ndarray:
     dist = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return dist
-    prev = _previous_occurrence(arr)
+    prev = previous_occurrence(arr)
     q = np.flatnonzero(prev >= 0)
     if q.size == 0:
         return dist

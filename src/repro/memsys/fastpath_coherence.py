@@ -27,13 +27,22 @@ by construction and by test:
 - the round-robin quantum interleave and the warmup-discard split run
   inside the kernel session, exactly as ``run_trace`` schedules them.
 
-After a replay the full machine state — cache contents in LRU order,
-coherence states, holders mirror, classifier history, every counter —
-is exported back into the Python objects, so a kernel-replayed
-hierarchy is indistinguishable from a scalar-replayed one (the parity
-suites in ``tests/memsys/test_fastpath_coherence.py`` compare the
-complete state, and ``jmmw diffcheck`` diffs both paths against the
-naive oracle machine).
+After a replay every counter, the per-line C2C counts and the
+touched-line set are copied into the Python objects.  The rest of the
+machine state — cache contents in LRU order with their coherence
+states, the holders mirror and the classifier history — is handed
+over as the kernel's exported arrays, and each Python container is
+built from them the first time something reads it
+(:meth:`~repro.memsys.cache.SetAssociativeCache.load_lines`,
+:meth:`~repro.memsys.coherence.MOSIBus.load_holders`,
+:meth:`~repro.memsys.misses.MissClassifier.load_history`).  The
+figures read counters only, so most of that state is never built;
+when it is, a kernel-replayed hierarchy is indistinguishable from a
+scalar-replayed one (the parity suites in
+``tests/memsys/test_fastpath_coherence.py`` and
+``tests/memsys/test_kernel_lazy_state.py`` compare the complete
+state, and ``jmmw diffcheck`` diffs both paths against the naive
+oracle machine).
 
 Fallback conditions (the scalar path is always the reference):
 
@@ -50,6 +59,11 @@ Fallback conditions (the scalar path is always the reference):
   caches only;
 - more than 64 L2 caches (the holders bitmask width).
 
+Each fallback increments ``memsys/fastpath/coherent_fallback`` and
+``memsys/fastpath/coherent_fallback/<reason>``, the reason being
+``no_compiler``, ``unsupported``, ``warm``, ``checker`` or ``alloc``
+(see :func:`count_fallback`).
+
 The compiled ``.so`` is cached under ``$XDG_CACHE_HOME/jmmw`` (or
 ``~/.cache/jmmw``) keyed by a hash of the embedded source, so the
 build cost is paid once per machine, not per process.
@@ -63,7 +77,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -817,22 +830,45 @@ def _ptr(arr: np.ndarray, ctype):
 
 
 def _is_cold(hierarchy) -> bool:
-    """True when nothing has run through this hierarchy yet."""
+    """True when nothing has run through this hierarchy yet.
+
+    Builds no deferred container after a kernel replay: occupancy
+    counts unbuilt lines from their arrays, and a replay that left
+    classifier history also left lines in some cache, so the history
+    is read only when every cache is empty.  The holders mirror needs
+    no check: every block it lists is resident in some cache.
+    """
     bus = hierarchy.bus
     if bus.stats.total_misses or bus.stats.upgrades or bus.stats.silent_upgrades:
-        return False
-    if bus.mirrored_blocks():
-        return False
-    if any(c._ever_held or c._invalidated for c in bus.classifiers):
         return False
     if any(s.accesses for s in bus.cache_stats):
         return False
     if any(s.ifetches or s.loads or s.stores for s in hierarchy.proc_stats):
         return False
     caches = list(bus.caches) + list(hierarchy._l1i) + list(hierarchy._l1d)
-    # any() over the per-set dicts runs at C speed; occupancy() would
-    # cost real milliseconds per replay on big-cache machines.
-    return not any(any(cache._sets) for cache in caches)
+    if any(cache.occupancy() for cache in caches):
+        return False
+    return not any(c._ever_held or c._invalidated for c in bus.classifiers)
+
+
+def _decline_reason(lib, hierarchy) -> str | None:
+    """Why the kernel cannot replay into ``hierarchy``, or None."""
+    if lib is None:
+        return "no_compiler"
+    if not _supported(hierarchy):
+        return "unsupported"
+    if not _is_cold(hierarchy):
+        return "warm"
+    return None
+
+
+def count_fallback(reason: str) -> None:
+    """Count one scalar fallback, in total and under its reason:
+    ``no_compiler``, ``unsupported``, ``warm``, ``checker`` (an
+    invariant checker is attached) or ``alloc`` (the kernel machine
+    could not be allocated)."""
+    _obs.incr("memsys/fastpath/coherent_fallback")
+    _obs.incr(f"memsys/fastpath/coherent_fallback/{reason}")
 
 
 def _supported(hierarchy) -> bool:
@@ -893,39 +929,30 @@ def _export_stats(lib, m, hierarchy) -> None:
 
 
 def _export_table(lib, m, hierarchy) -> None:
-    """Rebuild holders mirror, classifier sets and per-line counts."""
+    """Hand the sharing table to the bus and classifiers as arrays.
+
+    The holders mirror and the classifier sets are built only when
+    something reads them; the per-line C2C counts and touched lines
+    are built now, because the figures read them.
+    """
     used = int(lib.jmmw_table_used(m))
-    keys = np.zeros(used, dtype=np.uint64)
-    holders = np.zeros(used, dtype=np.uint64)
-    ever = np.zeros(used, dtype=np.uint64)
-    inval = np.zeros(used, dtype=np.uint64)
-    c2c = np.zeros(used, dtype=np.int64)
-    touched = np.zeros(used, dtype=np.uint8)
-    if used:
-        lib.jmmw_export_table(
-            m, _ptr(keys, ctypes.c_uint64), _ptr(holders, ctypes.c_uint64),
-            _ptr(ever, ctypes.c_uint64), _ptr(inval, ctypes.c_uint64),
-            _ptr(c2c, ctypes.c_int64), _ptr(touched, ctypes.c_uint8),
-        )
+    if not used:
+        return
+    keys = np.empty(used, dtype=np.uint64)
+    holders = np.empty(used, dtype=np.uint64)
+    ever = np.empty(used, dtype=np.uint64)
+    inval = np.empty(used, dtype=np.uint64)
+    c2c = np.empty(used, dtype=np.int64)
+    touched = np.empty(used, dtype=np.uint8)
+    lib.jmmw_export_table(
+        m, _ptr(keys, ctypes.c_uint64), _ptr(holders, ctypes.c_uint64),
+        _ptr(ever, ctypes.c_uint64), _ptr(inval, ctypes.c_uint64),
+        _ptr(c2c, ctypes.c_int64), _ptr(touched, ctypes.c_uint8),
+    )
     bus = hierarchy.bus
-    n_l2 = hierarchy.machine.n_l2_caches
-    # Few distinct holder masks occur in practice; memoize the bit
-    # decomposition instead of scanning all cache ids per block.
-    mask_cids: dict[int, tuple[int, ...]] = {}
-    sel = holders != 0
-    holders_dict = {}
-    for block, mask in zip(keys[sel].tolist(), holders[sel].tolist()):
-        cids = mask_cids.get(mask)
-        if cids is None:
-            cids = tuple(cid for cid in range(n_l2) if mask >> cid & 1)
-            mask_cids[mask] = cids
-        holders_dict[block] = set(cids)
-    bus._holders = holders_dict
+    bus.load_holders(keys, holders)
     for cid, classifier in enumerate(bus.classifiers):
-        ever_sel = (ever >> np.uint64(cid) & np.uint64(1)).astype(bool)
-        inval_sel = (inval >> np.uint64(cid) & np.uint64(1)).astype(bool)
-        classifier._ever_held = set(keys[ever_sel].tolist())
-        classifier._invalidated = set(keys[inval_sel].tolist())
+        classifier.load_history(keys, ever, inval, cid)
     if bus._track:
         sel = c2c > 0
         bus.stats.c2c_by_line = dict(
@@ -934,44 +961,33 @@ def _export_table(lib, m, hierarchy) -> None:
         bus.stats.touched_lines = set(keys[touched.astype(bool)].tolist())
 
 
+#: Kernel state codes -> line states (index = the C ``ST_*`` value).
+_STATE_OF = (None, State.SHARED, State.OWNED, State.MODIFIED, State.EXCLUSIVE)
+
+
 def _export_caches(lib, m, hierarchy) -> None:
-    """Rebuild every cache's per-set dicts in exact LRU order."""
+    """Hand every non-empty cache its lines as arrays, LRU order kept."""
     machine = hierarchy.machine
-    groups = [
-        (0, hierarchy._l1i, machine.l1i, None),
-        (1, hierarchy._l1d, machine.l1d, None),
-        (2, list(hierarchy.bus.caches), machine.l2, State),
-    ]
-    for which, caches, config, state_enum in groups:
-        if which in (0, 1) and not hierarchy.include_l1:
-            continue
+    groups = [(2, hierarchy.bus.caches, machine.l2)]
+    if hierarchy.include_l1:
+        groups += [(0, hierarchy._l1i, machine.l1i), (1, hierarchy._l1d, machine.l1d)]
+    for which, caches, config in groups:
         for idx, cache in enumerate(caches):
             total = int(lib.jmmw_cache_entries(m, which, idx))
-            set_counts = np.zeros(config.n_sets, dtype=np.int32)
-            blocks = np.zeros(max(total, 1), dtype=np.uint64)
-            states = np.zeros(max(total, 1), dtype=np.int32)
+            if not total:
+                continue  # cold precondition: the cache is already empty
+            set_counts = np.empty(config.n_sets, dtype=np.int32)
+            blocks = np.empty(total, dtype=np.uint64)
+            codes = np.empty(total, dtype=np.int32) if which == 2 else None
             lib.jmmw_export_cache(
                 m, which, idx, _ptr(set_counts, ctypes.c_int32),
-                _ptr(blocks, ctypes.c_uint64), _ptr(states, ctypes.c_int32),
+                _ptr(blocks, ctypes.c_uint64),
+                None if codes is None else _ptr(codes, ctypes.c_int32),
             )
-            block_list = blocks.tolist()
-            sets = cache._sets
-            if state_enum:
-                # Map int -> enum member by index (Enum.__call__ is
-                # far too slow for tens of thousands of lines), then
-                # consume (block, state) pairs per set via islice —
-                # cheaper than materializing two slices per set.
-                lut = [None, State.SHARED, State.OWNED,
-                       State.MODIFIED, State.EXCLUSIVE]
-                pairs = zip(block_list, [lut[s] for s in states.tolist()])
-                for si, count in enumerate(set_counts.tolist()):
-                    if count:  # cold precondition: empty dicts stay
-                        sets[si] = dict(islice(pairs, count))
+            if codes is None:
+                cache.load_lines(set_counts, blocks)
             else:
-                blocks_iter = iter(block_list)
-                for si, count in enumerate(set_counts.tolist()):
-                    if count:
-                        sets[si] = dict.fromkeys(islice(blocks_iter, count), 0)
+                cache.load_lines(set_counts, blocks, codes, _STATE_OF)
 
 
 def _new_machine(lib, hierarchy):
@@ -995,13 +1011,15 @@ def run_trace_kernel(
     """Replay through the compiled kernel; False means "use scalar".
 
     Arguments mirror :meth:`MemoryHierarchy.run_trace` (already
-    validated by the caller).  On success the hierarchy's caches, bus
-    mirror, classifier history and every counter hold exactly the
-    state the scalar replay would have produced.
+    validated by the caller).  On success every counter holds exactly
+    what the scalar replay would have produced, and so do the caches,
+    the bus mirror and the classifier history once read: those are
+    kept as the kernel's exported arrays and built on first use.
     """
     lib = _load_library()
-    if lib is None or not _supported(hierarchy) or not _is_cold(hierarchy):
-        _obs.incr("memsys/fastpath/coherent_fallback")
+    reason = _decline_reason(lib, hierarchy)
+    if reason is not None:
+        count_fallback(reason)
         return False
     traces = [np.ascontiguousarray(t, dtype=np.uint64) for t in per_cpu_traces]
     lens = np.array([t.size for t in traces], dtype=np.int64)
@@ -1013,7 +1031,7 @@ def run_trace_kernel(
     )
     m = _new_machine(lib, hierarchy)
     if not m:
-        _obs.incr("memsys/fastpath/coherent_fallback")
+        count_fallback("alloc")
         return False
     try:
         splits = np.array(
@@ -1047,7 +1065,7 @@ def run_trace_kernel(
             if rc != 0:
                 # Allocation failure mid-replay: the machine state is
                 # unusable, but the Python hierarchy is untouched.
-                _obs.incr("memsys/fastpath/coherent_fallback")
+                count_fallback("alloc")
                 return False
             if bus_before is not None:
                 bus_after = np.zeros(len(BUS_FIELDS), dtype=np.int64)
@@ -1079,8 +1097,9 @@ class KernelSession:
     needs — the machine *is* the carried state.  The lifecycle is
     ``begin`` (None means "kernel unavailable here: use the scalar
     loop"), any number of ``run``/``reset_stats`` calls, then
-    ``finish`` to export everything back into the Python hierarchy
-    (or ``abort`` to free without exporting).
+    ``finish`` to export the state into the Python hierarchy, with the
+    same deferred containers as :func:`run_trace_kernel` (or ``abort``
+    to free without exporting).
 
     Unlike the materialized path there is no mid-stream fallback: the
     chunks already replayed cannot be replayed again scalar, so an
@@ -1098,12 +1117,13 @@ class KernelSession:
     def begin(cls, hierarchy) -> "KernelSession | None":
         """Open a session, or None when the kernel cannot serve it."""
         lib = _load_library()
-        if lib is None or not _supported(hierarchy) or not _is_cold(hierarchy):
-            _obs.incr("memsys/fastpath/coherent_fallback")
+        reason = _decline_reason(lib, hierarchy)
+        if reason is not None:
+            count_fallback(reason)
             return None
         m = _new_machine(lib, hierarchy)
         if not m:
-            _obs.incr("memsys/fastpath/coherent_fallback")
+            count_fallback("alloc")
             return None
         return cls(lib, m, hierarchy)
 

@@ -289,14 +289,13 @@ class MemoryHierarchy:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if fastpath is None:
             fastpath = _fastpath.fastpath_enabled()
-        if (
-            fastpath
-            and self.checker is None
-            and _fastpath_coherence.run_trace_kernel(
+        if fastpath:
+            if self.checker is not None:
+                _fastpath_coherence.count_fallback("checker")
+            elif _fastpath_coherence.run_trace_kernel(
                 self, per_cpu_traces, quantum, warmup_fraction
-            )
-        ):
-            return
+            ):
+                return
         # Workloads hand over uint64 arrays; the per-reference loop
         # below runs much faster over Python ints than numpy scalars.
         per_cpu_traces = [

@@ -18,6 +18,10 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
+from repro.memsys.lazy import built_on_first_read
+
 
 class MissKind(Enum):
     """Why an access missed."""
@@ -38,6 +42,37 @@ class MissClassifier:
     def __init__(self) -> None:
         self._ever_held: set[int] = set()
         self._invalidated: set[int] = set()
+        self._history: tuple | None = None  # set while unbuilt
+
+    def load_history(
+        self, blocks: np.ndarray, ever: np.ndarray, invalidated: np.ndarray,
+        bit: int,
+    ) -> None:
+        """Replace the history, built on first read: ``blocks[i]`` was
+        ever held (was invalidated) iff bit ``bit`` of ``ever[i]``
+        (``invalidated[i]``) is set."""
+        if self._history is None:
+            del self._ever_held, self._invalidated
+        self._history = (blocks, ever, invalidated, bit)
+
+    def _build_history(self) -> None:
+        blocks, ever, invalidated, bit = self._history
+        self._history = None
+        shift, one = np.uint64(bit), np.uint64(1)
+        self._ever_held = set(blocks[(ever >> shift) & one != 0].tolist())
+        self._invalidated = set(blocks[(invalidated >> shift) & one != 0].tolist())
+
+    @built_on_first_read
+    def _ever_held(self) -> set[int]:
+        """Blocks this cache ever held (both sets build together)."""
+        self._build_history()
+        return self._ever_held
+
+    @built_on_first_read
+    def _invalidated(self) -> set[int]:
+        """Blocks a remote write invalidated here since last held."""
+        self._build_history()
+        return self._invalidated
 
     def note_insert(self, block: int) -> None:
         """Record that the cache now holds ``block``."""

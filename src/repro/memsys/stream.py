@@ -46,7 +46,13 @@ from repro import obs as _obs
 from repro.errors import ConfigError, SimulationError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH
 from repro.memsys.config import CacheConfig
-from repro.memsys.fastpath import fastpath_enabled, lru_miss_mask, stack_distances
+from repro.memsys.fastpath import (
+    collapse_repeats,
+    fastpath_enabled,
+    lru_miss_mask,
+    previous_occurrence,
+    stack_distances,
+)
 
 #: Environment switch: set to ``0``/``false`` to make every
 #: stream-aware consumer (figure drivers, sweeps) take the materialized
@@ -322,6 +328,12 @@ class MissCurveAccumulator:
     accounting follows the global warmup split computed from the
     *declared* total, so the split lands on the same reference
     regardless of chunking.
+
+    Each chunk does the one-shot sweep's work and no more: repeats of
+    the previous block are collapsed first (as in
+    :func:`repro.memsys.fastpath.replay_counters`), geometries of one
+    block size share a reuse pass while no carried prefix exists, and
+    the final chunk computes no carried state.
     """
 
     def __init__(
@@ -370,28 +382,36 @@ class MissCurveAccumulator:
         addrs = (refs >> np.uint64(2))[mask]
         class_pos = np.flatnonzero(mask)
         class_before = int(np.searchsorted(class_pos, split_local, side="left"))
+        final = self.pos + n == self.total_refs
         for block_bits, indices in self._groups.items():
             blocks = addrs >> np.uint64(block_bits)
+            kept, kept_before = collapse_repeats(blocks, class_before)
+            shared_prev = None
             for i in indices:
                 cfg = self.configs[i]
                 prefix = self._carried[i]
                 if prefix is not None and prefix.size:
-                    seq = np.concatenate([prefix, blocks])
+                    seq = np.concatenate([prefix, kept])
                     skip = int(prefix.size)
+                    prev = None
                 else:
-                    seq = blocks
-                    skip = 0
-                miss = lru_miss_mask(seq, cfg.set_mask, cfg.assoc)[skip:]
+                    # Without a carried prefix every geometry of this
+                    # block size replays the same sequence: one reuse
+                    # pass serves them all.
+                    if shared_prev is None:
+                        shared_prev = previous_occurrence(kept)
+                    seq, skip, prev = kept, 0, shared_prev
+                miss = lru_miss_mask(seq, cfg.set_mask, cfg.assoc, prev=prev)[skip:]
                 acc = self._acc[i]
                 acc[0] += int(blocks.size)
                 acc[1] += int(np.count_nonzero(miss))
                 acc[2] += class_before
-                acc[3] += int(np.count_nonzero(miss[:class_before]))
+                acc[3] += int(np.count_nonzero(miss[:kept_before]))
                 if _drop_carried_state:
                     self._carried[i] = None
-                else:
+                elif not final:  # nothing follows the last chunk
                     self._carried[i] = lru_carried_state(
-                        blocks, cfg.set_mask, cfg.assoc, prefix=prefix
+                        kept, cfg.set_mask, cfg.assoc, prefix=prefix
                     )
         self.pos += n
 
@@ -589,8 +609,11 @@ def run_trace_stream(
     else:
         phases = [lengths]
     session = None
-    if fastpath and hierarchy.checker is None:
-        session = _fc.KernelSession.begin(hierarchy)
+    if fastpath:
+        if hierarchy.checker is not None:
+            _fc.count_fallback("checker")
+        else:
+            session = _fc.KernelSession.begin(hierarchy)
     try:
         for index, budgets in enumerate(phases):
             if index > 0:

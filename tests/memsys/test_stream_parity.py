@@ -27,7 +27,11 @@ from repro.memsys import stream as stream_mod
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
 from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.config import CacheConfig, e6000_machine
-from repro.memsys.fastpath import lru_miss_mask, stack_distance_histogram
+from repro.memsys.fastpath import (
+    lru_miss_mask,
+    miss_curve_points,
+    stack_distance_histogram,
+)
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.multisim import simulate_miss_curve
 from repro.memsys.stream import (
@@ -106,6 +110,79 @@ def test_streamed_miss_curve_boundary_straddling_same_set_run():
             )
         )
         assert got == want, chunk
+
+
+def _mixed_block_configs() -> list[CacheConfig]:
+    """Two block sizes, so each shares one reuse pass between geometries."""
+    return [
+        CacheConfig(size=size, assoc=2, block=block, name=f"data-{size}-{block}")
+        for block in (32, 64)
+        for size in (512, 1024)
+    ]
+
+
+def _accumulated_points(refs, configs, chunk, warmup_fraction):
+    acc = MissCurveAccumulator(
+        configs, "data", int(refs.size), warmup_fraction=warmup_fraction
+    )
+    for part in _chunks(refs, chunk):
+        acc.feed(part)
+    return _curve_vectors(acc.points())
+
+
+def _assert_matches_one_shot_and_scalar(refs, configs, chunks, warmup_fraction):
+    split = int(refs.size * warmup_fraction)
+    want = _curve_vectors(miss_curve_points(refs, configs, "data", split=split))
+    for block in sorted({c.block for c in configs}):
+        sizes = [c.size for c in configs if c.block == block]
+        scalar = _curve_vectors(
+            simulate_miss_curve(
+                refs, sizes, kind="data", assoc=2, block=block,
+                warmup_fraction=warmup_fraction, fastpath=False,
+            )
+        )
+        assert scalar == [w for w, c in zip(want, configs) if c.block == block]
+    for chunk in chunks:
+        got = _accumulated_points(refs, configs, chunk, warmup_fraction)
+        assert got == want, chunk
+
+
+def test_streamed_miss_curve_same_block_run_split_across_boundary():
+    """A long run of one block, cut mid-run by every chunk size tried.
+
+    The accumulator collapses repeats within a chunk only; the run's
+    tail in the next chunk must still replay as hits behind the
+    carried prefix, with the warmup split landing inside the run.
+    """
+    config = CacheConfig(size=512, assoc=2, block=64)
+    stride = config.n_sets * 64
+    head = [i * stride for i in (1, 2, 3)] * 4
+    run = [5 * stride + 8] * 30  # one block, distinct words
+    tail = [i * stride for i in (3, 2, 1, 5, 4)] * 3
+    refs = np.asarray(
+        [encode_ref(a, LOAD if k % 3 else STORE)
+         for k, a in enumerate(head + run + tail)],
+        dtype=np.uint64,
+    )
+    assert head and int(refs.size * 0.4) > len(head)  # split inside the run
+    _assert_matches_one_shot_and_scalar(
+        refs, _mixed_block_configs(), (1, 5, len(head) + 7, 23), 0.4
+    )
+
+
+def test_streamed_miss_curve_single_chunk():
+    """The whole trace in one chunk: no carried prefix, no carried state."""
+    rng = np.random.default_rng(5)
+    addrs = rng.integers(0, 0x1800, size=600) & ~np.int64(7)
+    refs = np.asarray(
+        [encode_ref(int(a), LOAD) for a in np.repeat(addrs, 2)],
+        dtype=np.uint64,
+    )
+    for warmup_fraction in (0.0, 0.5):
+        _assert_matches_one_shot_and_scalar(
+            refs, _mixed_block_configs(), (refs.size, refs.size + 9),
+            warmup_fraction,
+        )
 
 
 # -- carried LRU state vs the scalar cache -----------------------------------
